@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.comm.world import World
 from repro.core.config import get_mae_config
-from repro.core.ddp import DDPEngine
+from repro.core.engine import make_engine
 from repro.core.trainer import MAEPretrainer
 from repro.models import MaskedAutoencoder, Workspace
 from repro.models import functional as F
@@ -150,7 +150,7 @@ def _kernel_pairs(shape=(8, 64, 192)):
 def _step_timing(name: str):
     cfg = get_mae_config(name)
     model = MaskedAutoencoder(cfg, rng=np.random.default_rng(0))
-    engine = DDPEngine(model, World(1, ranks_per_node=1))
+    engine = make_engine(model, "ddp", world=World(1, ranks_per_node=1))
     images = np.random.default_rng(5).standard_normal(
         (4 * STEP_BATCH, cfg.encoder.in_chans, cfg.encoder.img_size,
          cfg.encoder.img_size)

@@ -6,10 +6,10 @@ The package provides three layers:
 1. **Executable distributed training** (:mod:`repro.core`,
    :mod:`repro.comm`, :mod:`repro.models`, :mod:`repro.optim`): a
    from-scratch NumPy ViT/MAE with hand-derived backward passes, trained
-   under a mini-FSDP engine implementing NO_SHARD / FULL_SHARD /
-   SHARD_GRAD_OP / HYBRID_SHARD plus a bucketed DDP baseline over
-   simulated MPI-style collectives — numerically equivalent across every
-   strategy (tested to 1e-10).
+   under one SPMD engine whose reduction plans implement NO_SHARD /
+   FULL_SHARD / SHARD_GRAD_OP / HYBRID_SHARD, a bucketed DDP baseline
+   and a tp x pp x dp mesh over simulated MPI-style collectives —
+   numerically equivalent across every strategy (tested to 1e-10).
 2. **Performance simulation** (:mod:`repro.perf`, :mod:`repro.hardware`):
    an analytical + discrete-event model of a Frontier slice that times
    one training step of any Table I variant under any strategy,
@@ -40,7 +40,7 @@ from repro.backend import (
     WorkerCrashError,
     WorkerStepError,
 )
-from repro.comm.world import Group, World, make_hybrid_mesh
+from repro.comm.world import Group, World
 from repro.core.config import (
     MAEConfig,
     PROXY_VARIANTS,
@@ -51,13 +51,12 @@ from repro.core.config import (
     get_mae_config,
     get_vit_config,
 )
-from repro.core.ddp import DDPEngine
 from repro.core.engine import (
     STRATEGY_CHOICES,
+    Engine,
     EngineConfig,
     make_engine,
 )
-from repro.core.fsdp import FSDPEngine
 from repro.core.sharding import BackwardPrefetch, ShardingStrategy, parse_strategy
 from repro.core.simclr_trainer import SimCLRPretrainer
 from repro.core.trainer import MAEPretrainer, TrainResult
@@ -80,7 +79,7 @@ from repro.elastic import (
 )
 from repro.eval.linear_probe import linear_probe
 from repro.hardware.frontier import FRONTIER, frontier_machine
-from repro.mesh import DeviceMesh, MeshEngine, MeshSpec, TPContext
+from repro.mesh import DeviceMesh, MeshSpec, TPContext
 from repro.models.mae import MaskedAutoencoder
 from repro.models.vit import VisionTransformer
 from repro.optim.adamw import AdamW
@@ -125,7 +124,6 @@ __version__ = "1.0.0"
 __all__ = [
     "World",
     "Group",
-    "make_hybrid_mesh",
     "ViTConfig",
     "MAEConfig",
     "VIT_VARIANTS",
@@ -137,6 +135,7 @@ __all__ = [
     "ShardingStrategy",
     "BackwardPrefetch",
     "parse_strategy",
+    "Engine",
     "EngineConfig",
     "make_engine",
     "STRATEGY_CHOICES",
@@ -144,11 +143,8 @@ __all__ = [
     "GemmPool",
     "WorkerCrashError",
     "WorkerStepError",
-    "FSDPEngine",
-    "DDPEngine",
     "DeviceMesh",
     "MeshSpec",
-    "MeshEngine",
     "TPContext",
     "MAEPretrainer",
     "SimCLRPretrainer",

@@ -1,10 +1,10 @@
 """The inline execution backend: all ranks run in the calling process.
 
-This is the historical behavior of the engines, factored behind the
-:class:`ExecutionBackend` seam so :class:`~repro.core.ddp.DDPEngine` and
-:class:`~repro.core.fsdp.FSDPEngine` share one compute loop regardless
-of where rank compute actually runs. The engine owns everything outside
-the loop (casting, collectives, optimizer, telemetry); a backend owns
+This is the historical behavior of the engine, factored behind the
+:class:`ExecutionBackend` seam so :class:`~repro.core.engine.Engine`
+runs one compute loop regardless of where rank compute actually runs.
+The engine owns everything outside the loop (casting, collectives,
+optimizer, telemetry); a backend owns
 exactly one thing — running ``step_fn`` for every rank of one
 accumulation round and handing back the per-rank outbound gradients.
 

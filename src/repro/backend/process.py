@@ -230,7 +230,7 @@ def _worker_main(spec: dict, conn) -> None:
             flat = g.reshape(-1)
             dst = row[offset : offset + flat.size]
             if precision == "bf16":
-                # Mirror MixedPrecisionMixin._outbound_grad bit-for-bit.
+                # Mirror Engine._outbound_grad bit-for-bit.
                 np.copyto(dst, bf16_round(flat * scale if scale != 1.0 else flat))
             else:
                 np.copyto(dst, flat)
@@ -319,10 +319,10 @@ class ProcessBackend(ExecutionBackend):
         super().__init__(engine)
         cfg = engine.config
         self.k = cfg.grad_accum_steps
-        # Mesh engines compute only on the dp axis (tp/pp are folded
-        # into each rank's step); plain engines compute on every rank.
-        self.world_size = getattr(engine, "compute_world_size", engine.world.size)
-        self.mode = "fsdp" if hasattr(engine, "units") else "ddp"
+        # Only data-parallel ranks compute (a mesh folds tp/pp into each
+        # rank's step); off the mesh that is every rank.
+        self.world_size = engine.data_parallel_size
+        self.mode = "ddp" if engine.shard_size is None else "fsdp"
         if self.mode == "fsdp":
             self._targets = engine.units
             arrays = [u.flat for u in self._targets]
@@ -425,7 +425,7 @@ class ProcessBackend(ExecutionBackend):
         blob = self._model_blob()
         spec_common = {
             "mode": self.mode,
-            "shard_size": getattr(self.engine, "shard_size", 1),
+            "shard_size": self.engine.shard_size,
             "precision": self.engine.config.precision,
             "arena": self._arena.name,
             "dtype": self._dtype.str,
@@ -496,7 +496,7 @@ class ProcessBackend(ExecutionBackend):
             for unit in self._targets:
                 unit.flat = np.array(unit.flat)
                 unit._install_views()
-            for unit, shards in zip(engine.units, getattr(engine, "_shards", [])):
+            for unit, shards in zip(engine.units, engine._shards):
                 for j, shard in enumerate(shards):
                     shard.data = unit.shard_view(j)
         else:

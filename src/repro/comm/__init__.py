@@ -2,8 +2,8 @@
 
 This package plays the role MPI/RCCL plays under PyTorch distributed:
 
-- :mod:`repro.comm.world` — ranks, process groups, and the hybrid-sharding
-  device-mesh construction (shard groups x replica groups).
+- :mod:`repro.comm.world` — ranks and process groups (N-D meshes of
+  groups live in :mod:`repro.mesh`).
 - :mod:`repro.comm.collectives` — *executable* collectives over per-rank
   NumPy buffers (ring all-gather / reduce-scatter / all-reduce /
   broadcast), with per-operation call and byte accounting. These run the
@@ -27,12 +27,11 @@ from repro.comm.faults import (
     RetryPolicy,
     call_with_retry,
 )
-from repro.comm.world import Group, World, make_hybrid_mesh
+from repro.comm.world import Group, World
 
 __all__ = [
     "World",
     "Group",
-    "make_hybrid_mesh",
     "SimComm",
     "CommStats",
     "CollectiveCostModel",

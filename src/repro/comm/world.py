@@ -1,22 +1,20 @@
-"""Ranks, process groups, and hybrid-sharding meshes.
+"""Ranks and process groups.
 
 A :class:`World` is the set of all ranks participating in a job, numbered
 ``0..size-1`` exactly as ``torch.distributed`` numbers them. A
 :class:`Group` is an ordered subset of world ranks over which a collective
 operates (the analogue of an MPI communicator / NCCL process group).
 
-:func:`make_hybrid_mesh` reproduces the 2-D device mesh FSDP's
-``HYBRID_SHARD`` builds: the world is split into contiguous *shard groups*
-of ``shard_size`` ranks (all-gather / reduce-scatter happen inside these),
-and *replica groups* that connect the ranks holding the same shard index
-across shard groups (gradient all-reduce happens inside these).
+Multi-axis layouts — HYBRID_SHARD's 2-D mesh of contiguous *shard
+groups* and strided *replica groups*, or the tp x pp x dp mesh — are
+:class:`repro.mesh.device_mesh.DeviceMesh` grids over a world.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["World", "Group", "make_hybrid_mesh", "HybridMesh", "pair_group"]
+__all__ = ["World", "Group", "pair_group"]
 
 
 @dataclass(frozen=True)
@@ -116,75 +114,3 @@ def pair_group(src: int, dst: int) -> Group:
     if src == dst:
         raise ValueError(f"a point-to-point pair needs distinct ranks, got {src}")
     return Group((src, dst))
-
-
-@dataclass(frozen=True)
-class HybridMesh:
-    """The 2-D (replica x shard) mesh used by ``HYBRID_SHARD``.
-
-    ``shard_groups[i]`` is the i-th contiguous block of ``shard_size``
-    ranks; ``replica_groups[j]`` connects the ranks with shard index ``j``
-    across all shard groups. Every rank belongs to exactly one group of
-    each kind.
-    """
-
-    shard_groups: tuple[Group, ...]
-    replica_groups: tuple[Group, ...]
-
-    @property
-    def shard_size(self) -> int:
-        """Ranks per shard group."""
-        return self.shard_groups[0].size
-
-    @property
-    def n_replicas(self) -> int:
-        """Number of model replicas (= number of shard groups)."""
-        return len(self.shard_groups)
-
-    def shard_group_of(self, rank: int) -> Group:
-        """The shard group containing ``rank``."""
-        for g in self.shard_groups:
-            if rank in g:
-                return g
-        raise ValueError(f"rank {rank} not in any shard group")
-
-    def replica_group_of(self, rank: int) -> Group:
-        """The replica group containing ``rank``."""
-        for g in self.replica_groups:
-            if rank in g:
-                return g
-        raise ValueError(f"rank {rank} not in any replica group")
-
-
-def make_hybrid_mesh(world: World, shard_size: int) -> HybridMesh:
-    """Build the HYBRID_SHARD mesh for ``shard_size`` ranks per shard group.
-
-    ``shard_size=1`` degenerates to pure data parallelism (the paper's
-    ``HYBRID_1GPU``); ``shard_size == world.size`` degenerates to
-    ``FULL_SHARD`` over the whole world.
-
-    .. deprecated::
-        This is now a thin wrapper over the general N-D
-        :class:`repro.mesh.DeviceMesh` — a 2-D ``("replica", "shard")``
-        mesh whose inner (contiguous) axis is the shard axis. New code
-        should build a :class:`~repro.mesh.DeviceMesh` directly; this
-        wrapper stays for the HYBRID_SHARD engine and existing callers.
-    """
-    if shard_size <= 0:
-        raise ValueError(f"shard_size must be positive, got {shard_size}")
-    if world.size % shard_size != 0:
-        raise ValueError(
-            f"world size {world.size} not divisible by shard size {shard_size}"
-        )
-    # Imported lazily: device_mesh imports Group/World from this module.
-    from repro.mesh.device_mesh import DeviceMesh
-
-    mesh = DeviceMesh(
-        world,
-        (world.size // shard_size, shard_size),
-        ("replica", "shard"),
-    )
-    return HybridMesh(
-        shard_groups=mesh.groups("shard"),
-        replica_groups=mesh.groups("replica"),
-    )

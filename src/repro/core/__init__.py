@@ -5,12 +5,11 @@
   family used for executable training.
 - :mod:`repro.core.sharding` — sharding strategies and flat-parameter
   shard plans.
-- :mod:`repro.core.fsdp` — the executable mini-FSDP engine (NO_SHARD,
-  FULL_SHARD, SHARD_GRAD_OP, HYBRID_SHARD) over simulated collectives.
-- :mod:`repro.core.ddp` — bucketed distributed data parallel.
-- :mod:`repro.core.engine` — :func:`make_engine` /
-  :class:`EngineConfig`, the one-call construction path for every
-  strategy.
+- :mod:`repro.core.engine` — :class:`Engine`, the one SPMD training
+  engine (DDP, NO_SHARD, FULL_SHARD, SHARD_GRAD_OP, HYBRID_SHARD and
+  the tp x pp x dp mesh as reduction plans over simulated
+  collectives), built by :func:`make_engine` from an
+  :class:`EngineConfig`.
 - :mod:`repro.core.trainer` — MAE pretraining loop.
 - :mod:`repro.core.scaling` — weak-scaling experiment driver producing
   images-per-second, memory, and communication-share reports.
@@ -26,9 +25,7 @@ from repro.core.config import (
     get_mae_config,
     get_vit_config,
 )
-from repro.core.ddp import DDPEngine
-from repro.core.engine import STRATEGY_CHOICES, EngineConfig, make_engine
-from repro.core.fsdp import FSDPEngine
+from repro.core.engine import STRATEGY_CHOICES, Engine, EngineConfig, make_engine
 from repro.core.sharding import (
     BackwardPrefetch,
     ShardingStrategy,
@@ -54,11 +51,10 @@ __all__ = [
     "ShardPlan",
     "flatten_params",
     "unflatten_params",
+    "Engine",
     "EngineConfig",
     "make_engine",
     "STRATEGY_CHOICES",
-    "FSDPEngine",
-    "DDPEngine",
     "MAEPretrainer",
     "SimCLRPretrainer",
     "TrainResult",

@@ -13,8 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.ddp import DDPEngine
-from repro.core.fsdp import FSDPEngine
+from repro.core.engine import Engine
 from repro.core.trainer import CheckpointingTrainer, TrainResult
 from repro.data.transforms import augment_view
 from repro.models.simclr import SimCLRModel
@@ -22,8 +21,6 @@ from repro.optim.schedules import CosineWithWarmup
 from repro.telemetry import StepStats, TelemetryBus
 
 __all__ = ["SimCLRPretrainer"]
-
-Engine = FSDPEngine | DDPEngine
 
 
 def _simclr_step_fn(model: SimCLRModel, micro) -> float:
@@ -58,7 +55,7 @@ class SimCLRPretrainer(CheckpointingTrainer):
     ):
         if images.ndim != 4:
             raise ValueError(f"images must be (N, C, H, W), got {images.shape}")
-        n_micros = engine.world.size * getattr(engine, "grad_accum_steps", 1)
+        n_micros = engine.data_parallel_size * engine.grad_accum_steps
         if global_batch % n_micros != 0:
             raise ValueError(
                 f"global batch {global_batch} not divisible by world size x "
@@ -112,7 +109,7 @@ class SimCLRPretrainer(CheckpointingTrainer):
             )
         # One micro slot per (accumulation round, rank), round-major —
         # same convention as MAEPretrainer.
-        n_micros = self.engine.world.size * getattr(self.engine, "grad_accum_steps", 1)
+        n_micros = self.engine.data_parallel_size * self.engine.grad_accum_steps
         micro = self.global_batch // n_micros
         result = TrainResult(steps_per_epoch=self.steps_per_epoch)
         order = self._epoch_order(start_step // self.steps_per_epoch)

@@ -16,8 +16,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.checkpoints import CheckpointManager
-from repro.core.ddp import DDPEngine
-from repro.core.fsdp import FSDPEngine
+from repro.core.engine import Engine
 from repro.elastic.errors import ElasticCompatibilityError, PreemptedError
 from repro.elastic.preemption import PreemptionToken
 from repro.models.mae import MaskedAutoencoder
@@ -26,8 +25,6 @@ from repro.optim.schedules import CosineWithWarmup
 from repro.telemetry import NULL_BUS, StepStats, TelemetryBus
 
 __all__ = ["MAEPretrainer", "TrainResult", "CheckpointingTrainer"]
-
-Engine = FSDPEngine | DDPEngine
 
 
 @dataclass
@@ -272,7 +269,7 @@ class MAEPretrainer(CheckpointingTrainer):
     Parameters
     ----------
     engine:
-        An :class:`FSDPEngine` or :class:`DDPEngine` wrapping a
+        An :class:`~repro.core.engine.Engine` wrapping a
         :class:`MaskedAutoencoder`.
     images:
         Pretraining corpus, ``(N, C, H, W)``.
@@ -328,9 +325,7 @@ class MAEPretrainer(CheckpointingTrainer):
     ):
         if images.ndim != 4:
             raise ValueError(f"images must be (N, C, H, W), got {images.shape}")
-        n_micros = getattr(engine, "data_parallel_size", engine.world.size) * getattr(
-            engine, "grad_accum_steps", 1
-        )
+        n_micros = engine.data_parallel_size * engine.grad_accum_steps
         if global_batch % n_micros != 0:
             raise ValueError(
                 f"global batch {global_batch} not divisible by world size x "
@@ -391,9 +386,7 @@ class MAEPretrainer(CheckpointingTrainer):
         # rank-major, which is what keeps fp32 accumulation bit-identical
         # across layouts. Mesh engines consume micros only along dp (tp
         # ranks share each micro; pp ranks split the model, not the data).
-        n_micros = getattr(
-            self.engine, "data_parallel_size", self.engine.world.size
-        ) * getattr(self.engine, "grad_accum_steps", 1)
+        n_micros = self.engine.data_parallel_size * self.engine.grad_accum_steps
         micro = self.global_batch // n_micros
         result = TrainResult(steps_per_epoch=self.steps_per_epoch)
         order = self._epoch_order(start_step // self.steps_per_epoch)

@@ -17,8 +17,7 @@ import numpy as np
 from repro.comm.world import World
 from repro.core.checkpoints import checkpoint_exists, load_checkpoint, save_checkpoint
 from repro.core.config import get_mae_config, get_vit_config
-from repro.core.fsdp import FSDPEngine
-from repro.core.sharding import ShardingStrategy
+from repro.core.engine import make_engine
 from repro.core.simclr_trainer import SimCLRPretrainer
 from repro.data.datasets import SplitDataset, build_pretraining_corpus
 from repro.data.transforms import normalize_images
@@ -71,10 +70,10 @@ def _pretrain_simclr(
             seed=recipe.seed,
         ).images
     )
-    engine = FSDPEngine(
+    engine = make_engine(
         model,
-        World(1, ranks_per_node=1),
-        ShardingStrategy.NO_SHARD,
+        "no_shard",
+        world=World(1, ranks_per_node=1),
         optimizer_factory=lambda p: AdamW(p, lr=recipe.base_lr),
     )
     SimCLRPretrainer(

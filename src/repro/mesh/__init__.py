@@ -1,7 +1,8 @@
 """N-D device meshes and the parallelism layers composed over them.
 
-The mesh package generalizes the hard-coded 2-D replica x shard mesh of
-``comm/world.py`` into one composable stack:
+The mesh package holds named-axis rank grids (HYBRID_SHARD's 2-D
+``("replica", "shard")`` mesh is one) and the parallelism layers
+composed over them:
 
 - :mod:`repro.mesh.spec` — :class:`MeshSpec`, the pure-literal
   ``EngineConfig(mesh=...)`` value naming the ``("pp", "dp", "tp")``
@@ -15,15 +16,10 @@ The mesh package generalizes the hard-coded 2-D replica x shard mesh of
 - :mod:`repro.mesh.pipeline` — GPipe / 1F1B schedules over
   layer-partitioned op stages, plus closed-form boundary byte
   accounting.
-- :mod:`repro.mesh.engine` — :class:`MeshEngine`, the engine that
-  composes all three axes with the existing ddp / full-shard
-  data-parallel strategies (built via
-  ``make_engine(model, strategy, world=..., mesh=MeshSpec(...))``).
 
-``MeshEngine`` is exposed lazily (PEP 562): ``repro.core.engine``
-imports this package for :class:`MeshSpec`, while ``mesh/engine.py``
-imports ``repro.core.engine`` back — the deferred attribute breaks the
-cycle.
+:class:`repro.core.engine.Engine` composes all three axes with the
+ddp / full-shard data-parallel plans when built via
+``make_engine(model, strategy, world=..., mesh=MeshSpec(...))``.
 """
 
 from repro.mesh.device_mesh import DeviceMesh
@@ -40,7 +36,6 @@ from repro.mesh.tp import TPContext
 __all__ = [
     "DeviceMesh",
     "MESH_AXIS_NAMES",
-    "MeshEngine",
     "MeshSpec",
     "PIPELINE_SCHEDULES",
     "TPContext",
@@ -51,10 +46,3 @@ __all__ = [
     "schedule_actions",
 ]
 
-
-def __getattr__(name: str):
-    if name == "MeshEngine":
-        from repro.mesh.engine import MeshEngine
-
-        return MeshEngine
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

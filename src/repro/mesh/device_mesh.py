@@ -1,8 +1,8 @@
 """Named-axis N-D device meshes over a :class:`~repro.comm.world.World`.
 
-:class:`DeviceMesh` generalizes the hard-coded 2-D replica x shard mesh
-of :func:`repro.comm.world.make_hybrid_mesh` to any number of named
-axes. Ranks are laid out row-major over ``shape`` in axis order, so the
+:class:`DeviceMesh` lays a world's ranks out over any number of named
+axes — HYBRID_SHARD's 2-D ``("replica", "shard")`` mesh and the
+``("pp", "dp", "tp")`` training mesh are both instances. Ranks are laid out row-major over ``shape`` in axis order, so the
 *last* axis is innermost (adjacent global ranks) — the bandwidth-first
 convention of megatron-style launchers. Process groups are extracted
 per axis: ``groups("dp")`` returns one :class:`~repro.comm.world.Group`

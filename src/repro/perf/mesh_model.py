@@ -1,6 +1,6 @@
 """Closed-form per-axis collective payloads of a TP x PP x DP mesh.
 
-The mesh engines (:mod:`repro.mesh.engine`) *measure* per-axis wire
+The mesh plan of :mod:`repro.core.engine` *measures* per-axis wire
 traffic by tagging every collective span with its mesh axis; this module
 *predicts* the same quantities from the model configuration alone, so
 the two can be reconciled row-by-row (``python -m repro.experiments

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.comm.world import Group, World, make_hybrid_mesh
+from repro.comm.world import Group, World
+from repro.mesh.device_mesh import DeviceMesh
 
 
 class TestGroup:
@@ -65,41 +66,49 @@ class TestWorld:
             World(size=4, ranks_per_node=0)
 
 
+def _hybrid(world: World, shard_size: int) -> DeviceMesh:
+    """HYBRID_SHARD's (replica, shard) mesh, as the engine builds it."""
+    return DeviceMesh(
+        world, (world.size // shard_size, shard_size), ("replica", "shard")
+    )
+
+
 class TestHybridMesh:
     def test_shard_groups_contiguous(self):
-        mesh = make_hybrid_mesh(World(size=8, ranks_per_node=4), shard_size=2)
-        assert mesh.shard_groups[0].ranks == (0, 1)
-        assert mesh.shard_groups[3].ranks == (6, 7)
-        assert mesh.n_replicas == 4
-        assert mesh.shard_size == 2
+        mesh = _hybrid(World(size=8, ranks_per_node=4), shard_size=2)
+        shard_groups = mesh.groups("shard")
+        assert shard_groups[0].ranks == (0, 1)
+        assert shard_groups[3].ranks == (6, 7)
+        assert len(shard_groups) == 4
+        assert mesh.axis_size("shard") == 2
 
     def test_replica_groups_stride(self):
-        mesh = make_hybrid_mesh(World(size=8, ranks_per_node=4), shard_size=2)
-        assert mesh.replica_groups[0].ranks == (0, 2, 4, 6)
-        assert mesh.replica_groups[1].ranks == (1, 3, 5, 7)
+        mesh = _hybrid(World(size=8, ranks_per_node=4), shard_size=2)
+        assert mesh.groups("replica")[0].ranks == (0, 2, 4, 6)
+        assert mesh.groups("replica")[1].ranks == (1, 3, 5, 7)
 
     def test_every_rank_in_exactly_one_group_of_each_kind(self):
         w = World(size=12, ranks_per_node=4)
-        mesh = make_hybrid_mesh(w, shard_size=3)
+        mesh = _hybrid(w, shard_size=3)
         for r in range(12):
-            assert sum(r in g for g in mesh.shard_groups) == 1
-            assert sum(r in g for g in mesh.replica_groups) == 1
+            assert sum(r in g for g in mesh.groups("shard")) == 1
+            assert sum(r in g for g in mesh.groups("replica")) == 1
 
     def test_lookup_helpers(self):
-        mesh = make_hybrid_mesh(World(size=4, ranks_per_node=4), shard_size=2)
-        assert mesh.shard_group_of(3).ranks == (2, 3)
-        assert mesh.replica_group_of(3).ranks == (1, 3)
+        mesh = _hybrid(World(size=4, ranks_per_node=4), shard_size=2)
+        assert mesh.group_for("shard", 3).ranks == (2, 3)
+        assert mesh.group_for("replica", 3).ranks == (1, 3)
 
     def test_degenerate_full_shard(self):
-        mesh = make_hybrid_mesh(World(size=4, ranks_per_node=4), shard_size=4)
-        assert mesh.n_replicas == 1
-        assert mesh.shard_groups[0].ranks == (0, 1, 2, 3)
+        mesh = _hybrid(World(size=4, ranks_per_node=4), shard_size=4)
+        assert len(mesh.groups("shard")) == 1
+        assert mesh.groups("shard")[0].ranks == (0, 1, 2, 3)
 
     def test_degenerate_pure_dp(self):
-        mesh = make_hybrid_mesh(World(size=4, ranks_per_node=4), shard_size=1)
-        assert mesh.n_replicas == 4
-        assert mesh.replica_groups[0].ranks == (0, 1, 2, 3)
+        mesh = _hybrid(World(size=4, ranks_per_node=4), shard_size=1)
+        assert len(mesh.groups("shard")) == 4
+        assert mesh.groups("replica")[0].ranks == (0, 1, 2, 3)
 
     def test_indivisible_rejected(self):
-        with pytest.raises(ValueError, match="not divisible"):
-            make_hybrid_mesh(World(size=6, ranks_per_node=2), shard_size=4)
+        with pytest.raises(ValueError, match="axis sizes must multiply"):
+            _hybrid(World(size=6, ranks_per_node=2), shard_size=4)

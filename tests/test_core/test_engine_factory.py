@@ -1,10 +1,10 @@
-"""make_engine / EngineConfig: dispatch, equivalence, removed kwargs.
+"""make_engine / EngineConfig: plan selection, equivalence, overrides.
 
-The unified construction path must be a pure re-plumbing: an engine
-built by the factory trains bit-identically to one built by direct
-constructor calls, for DDP and all four FSDP strategies. The
-pre-EngineConfig legacy kwargs finished their deprecation cycle and now
-raise TypeError with the migration spelled out.
+Every spelling of a strategy must be a pure re-plumbing: an engine
+built from a string label trains bit-identically to one built from the
+:class:`ShardingStrategy` member and an explicit :class:`EngineConfig`,
+for DDP and all four FSDP strategies. Unknown config fields raise
+TypeError.
 """
 
 from __future__ import annotations
@@ -12,12 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm.faults import RetryPolicy
 from repro.comm.world import World
-from repro.core.ddp import DDPEngine
-from repro.core.engine import STRATEGY_CHOICES, EngineConfig, make_engine
-from repro.core.fsdp import FSDPEngine
-from repro.core.sharding import BackwardPrefetch, ShardingStrategy
+from repro.core.engine import STRATEGY_CHOICES, Engine, EngineConfig, make_engine
+from repro.core.sharding import ShardingStrategy
 from repro.core.trainer import MAEPretrainer
 from repro.models.mae import MaskedAutoencoder
 from repro.telemetry import NULL_BUS
@@ -33,12 +30,14 @@ def _train(engine_factory, tiny_mae_cfg, n_steps=2):
 
 
 DIRECT = {
-    "ddp": lambda m, w: DDPEngine(m, w),
-    "no_shard": lambda m, w: FSDPEngine(m, w, ShardingStrategy.NO_SHARD),
-    "full_shard": lambda m, w: FSDPEngine(m, w, ShardingStrategy.FULL_SHARD),
-    "shard_grad_op": lambda m, w: FSDPEngine(m, w, ShardingStrategy.SHARD_GRAD_OP),
-    "hybrid_shard": lambda m, w: FSDPEngine(
-        m, w, ShardingStrategy.HYBRID_SHARD, shard_size=2
+    "ddp": lambda m, w: make_engine(m, ShardingStrategy.DDP, world=w),
+    "no_shard": lambda m, w: make_engine(m, ShardingStrategy.NO_SHARD, world=w),
+    "full_shard": lambda m, w: make_engine(m, ShardingStrategy.FULL_SHARD, world=w),
+    "shard_grad_op": lambda m, w: make_engine(
+        m, ShardingStrategy.SHARD_GRAD_OP, world=w
+    ),
+    "hybrid_shard": lambda m, w: make_engine(
+        m, ShardingStrategy.HYBRID_SHARD, world=w, config=EngineConfig(shard_size=2)
     ),
 }
 
@@ -62,12 +61,12 @@ def test_factory_matches_direct_construction_bit_identically(
 
 def test_factory_dispatches_to_the_right_engine_kind():
     world = World(4, ranks_per_node=2)
-    assert isinstance(
-        make_engine(_tiny_model(), "ddp", world=world), DDPEngine
-    )
+    ddp = make_engine(_tiny_model(), "ddp", world=world)
+    assert isinstance(ddp, Engine)
+    assert ddp.strategy is ShardingStrategy.DDP
     for s in ("no_shard", "full_shard", "shard_grad_op"):
         eng = make_engine(_tiny_model(), s, world=world)
-        assert isinstance(eng, FSDPEngine)
+        assert isinstance(eng, Engine)
         assert eng.strategy.value.lower() == s
     hybrid = make_engine(_tiny_model(), "hybrid_shard", world=world, shard_size=2)
     assert hybrid.strategy is ShardingStrategy.HYBRID_SHARD
@@ -139,38 +138,13 @@ def test_engines_default_to_the_shared_null_bus():
     assert not eng.telemetry.enabled
 
 
-def test_ddp_removed_kwargs_raise_with_migration_hint():
-    world = World(2, ranks_per_node=2)
-    with pytest.raises(TypeError, match=r"bucket_cap_mb.*removed.*bucket_cap_bytes"):
-        DDPEngine(_tiny_model(), world, bucket_cap_mb=1)
-    with pytest.raises(TypeError, match=r"retries.*removed.*retry_policy"):
-        DDPEngine(_tiny_model(), world, retries=5)
-
-
-def test_fsdp_removed_kwargs_raise_with_migration_hint():
-    world = World(2, ranks_per_node=2)
-    with pytest.raises(TypeError, match=r"sharding_strategy.*removed.*strategy"):
-        FSDPEngine(
-            _tiny_model(), world, sharding_strategy=ShardingStrategy.SHARD_GRAD_OP
-        )
-    with pytest.raises(TypeError, match=r"prefetch.*removed.*backward_prefetch"):
-        FSDPEngine(_tiny_model(), world, prefetch=BackwardPrefetch.NONE)
-
-
 def test_unknown_kwargs_still_raise_type_error():
     world = World(2, ranks_per_node=2)
-    with pytest.raises(TypeError, match="unknown DDPEngine kwargs"):
-        DDPEngine(_tiny_model(), world, bukcet_cap_mb=1)
-    with pytest.raises(TypeError, match="unknown FSDPEngine kwargs"):
-        FSDPEngine(_tiny_model(), world, shrading_strategy=None)
-
-
-def test_explicit_config_wins_over_kwargs():
-    world = World(2, ranks_per_node=2)
-    cfg = EngineConfig(retry_policy=RetryPolicy(max_retries=9))
-    eng = DDPEngine(_tiny_model(), world, retry_policy=RetryPolicy(), config=cfg)
-    assert eng.retry_policy.max_retries == 9
-    assert eng.config is cfg
+    with pytest.raises(TypeError, match="bukcet_cap_mb"):
+        make_engine(_tiny_model(), "ddp", world=world, bukcet_cap_mb=1)
+    # The retired prefetch knob is no longer an EngineConfig field.
+    with pytest.raises(TypeError, match="backward_prefetch"):
+        make_engine(_tiny_model(), "full_shard", world=world, backward_prefetch=None)
 
 
 def test_trainer_lifecycle_names_align(tiny_mae_cfg, tmp_path):
@@ -204,7 +178,7 @@ def test_facade_exports_blessed_surface():
     import repro
 
     for name in (
-        "make_engine", "EngineConfig", "STRATEGY_CHOICES",
+        "Engine", "make_engine", "EngineConfig", "STRATEGY_CHOICES",
         "TelemetryBus", "RecordingSink", "JsonlSink", "NullSink",
         "StepStats", "RunReport", "NULL_BUS", "write_span_trace",
         "SimCLRPretrainer", "TrainResult", "DataLoader", "AdamW",

@@ -11,7 +11,7 @@ import pytest
 
 from repro.comm.world import World
 from repro.core.config import count_mae_params, get_mae_config
-from repro.core.fsdp import FSDPEngine
+from repro.core.engine import make_engine
 from repro.core.sharding import ShardingStrategy
 from repro.core.trainer import MAEPretrainer
 from repro.models.mae import MaskedAutoencoder
@@ -22,7 +22,7 @@ CFG = get_mae_config("proxy-base")
 def _run_one_step(strategy, world_size=4, shard_size=None, ranks_per_node=4):
     model = MaskedAutoencoder(CFG, rng=np.random.default_rng(0))
     world = World(world_size, ranks_per_node=ranks_per_node)
-    engine = FSDPEngine(model, world, strategy, shard_size=shard_size)
+    engine = make_engine(model, strategy, world=world, shard_size=shard_size)
     images = np.random.default_rng(1).standard_normal((16, 3, 32, 32))
     MAEPretrainer(engine, images, global_batch=8, seed=0).run(1)
     return engine

@@ -6,7 +6,7 @@ import pytest
 from repro.comm.world import World
 from repro.core.checkpoints import checkpoint_exists, load_checkpoint, save_checkpoint
 from repro.core.config import get_mae_config, get_vit_config
-from repro.core.fsdp import FSDPEngine
+from repro.core.engine import make_engine
 from repro.core.scaling import run_strategy_grid, run_weak_scaling
 from repro.core.sharding import ShardingStrategy
 from repro.core.trainer import MAEPretrainer, TrainResult
@@ -17,8 +17,8 @@ CFG = get_mae_config("proxy-base")
 
 def _engine(world_size=1):
     model = MaskedAutoencoder(CFG, rng=np.random.default_rng(0))
-    return FSDPEngine(
-        model, World(world_size, ranks_per_node=1), ShardingStrategy.NO_SHARD
+    return make_engine(
+        model, ShardingStrategy.NO_SHARD, world=World(world_size, ranks_per_node=1)
     )
 
 

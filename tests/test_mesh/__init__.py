@@ -1,1 +1,1 @@
-"""Suites for repro.mesh: DeviceMesh, TP/PP composition, MeshEngine."""
+"""Suites for repro.mesh: DeviceMesh, TP/PP composition, the mesh plan."""

@@ -60,7 +60,7 @@ def mesh_engine(
     seed: int = 7,
     **config_kwargs,
 ):
-    """A MeshEngine over a fresh tiny model via the make_engine path."""
+    """A mesh-plan engine over a fresh tiny model via make_engine."""
     cfg = EngineConfig(
         mesh=spec, grad_accum_steps=k, backend=backend, **config_kwargs
     )

@@ -7,8 +7,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.comm.world import World, make_hybrid_mesh
+from repro.comm.world import World
+from repro.core.engine import make_engine
 from repro.mesh import DeviceMesh, MESH_AXIS_NAMES, MeshSpec, PIPELINE_SCHEDULES
+
+from .helpers import build_model
 
 
 def test_mesh_spec_shape_size_and_describe():
@@ -102,14 +105,14 @@ def test_mesh_validation_errors():
 
 
 def test_make_hybrid_mesh_matches_device_mesh_layout():
-    # The legacy 2-D helper now rides on DeviceMesh; its groups must
-    # match a direct (replica, shard) DeviceMesh extraction.
-    hybrid = make_hybrid_mesh(World(8), shard_size=4)
+    # HYBRID_SHARD's two reduction stages run over a (replica, shard)
+    # DeviceMesh; stage 2 stacks partials in this group order, so the
+    # groups must match a direct extraction in order, not just as sets.
+    eng = make_engine(build_model(), "hybrid_shard", world=World(8), shard_size=4)
     mesh = DeviceMesh(World(8), (2, 4), ("replica", "shard"))
-    shard_groups = {tuple(g.ranks) for g in mesh.groups("shard")}
-    assert {tuple(g.ranks) for g in hybrid.shard_groups} == shard_groups
-    replica_groups = {tuple(g.ranks) for g in mesh.groups("replica")}
-    assert {tuple(g.ranks) for g in hybrid.replica_groups} == replica_groups
+    scatter, replica = eng.stages
+    assert scatter.groups == mesh.groups("shard")
+    assert replica.groups == mesh.groups("replica")
 
 
 def test_grid_is_consistent_both_directions():

@@ -1,4 +1,4 @@
-"""MeshEngine / EngineConfig(mesh=...) construction-time validation."""
+"""EngineConfig(mesh=...) construction-time validation of the mesh plan."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from repro.comm.world import World
 from repro.core.engine import EngineConfig, make_engine
 from repro.elastic.layout import ReductionLayout, mesh_layout, validate_mesh_layout
-from repro.mesh.engine import MeshEngine
 from repro.mesh.spec import MeshSpec
 from repro.models.vit import VisionTransformer
 
@@ -92,24 +91,11 @@ def test_shard_size_conflicting_with_dp_rejected():
         )
 
 
-def test_mesh_vs_config_mesh_disagreement_rejected():
-    with pytest.raises(ValueError, match="disagrees with"):
-        MeshEngine(
-            build_model(), World(2), mesh=MeshSpec(tp=2),
-            config=EngineConfig(mesh=MeshSpec(dp=2)),
-        )
-
-
-def test_mesh_engine_requires_a_spec():
-    with pytest.raises(ValueError, match="needs a MeshSpec"):
-        MeshEngine(build_model(), World(1))
-
-
 def test_unknown_dp_strategy_rejected():
-    with pytest.raises(ValueError, match="dp_strategy must be one of"):
-        MeshEngine(
-            build_model(), World(2), mesh=MeshSpec(dp=2),
-            dp_strategy="shard_grad_op",
+    with pytest.raises(ValueError, match="cannot run on a mesh"):
+        make_engine(
+            build_model(), "shard_grad_op", world=World(2),
+            config=EngineConfig(mesh=MeshSpec(dp=2)),
         )
 
 
@@ -167,6 +153,5 @@ def test_frozen_config_replace_round_trips_through_make_engine():
         assert eng.config.mesh == MeshSpec(dp=2)
         assert eng.grad_accum_steps == 2
         assert eng.data_parallel_size == 2
-        assert eng.compute_world_size == 2
     finally:
         eng.close()

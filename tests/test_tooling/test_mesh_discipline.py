@@ -33,7 +33,7 @@ def _planted_tree(tmp_path: Path) -> Path:
     (root / "comm").mkdir(parents=True)
     (root / "mesh").mkdir()
     (root / "core").mkdir()
-    for rel in ("comm/world.py", "mesh/device_mesh.py", "core/ddp.py"):
+    for rel in ("comm/world.py", "mesh/device_mesh.py", "core/engine.py"):
         shutil.copy(SRC / rel, root / rel)
     return root
 
@@ -45,28 +45,28 @@ def test_library_tree_is_clean():
 
 def test_linter_catches_group_construction_outside_mesh(tmp_path):
     root = _planted_tree(tmp_path)
-    ddp = root / "core" / "ddp.py"
-    ddp.write_text(
-        ddp.read_text()
+    engine = root / "core" / "engine.py"
+    engine.write_text(
+        engine.read_text()
         + "\n\ndef _rogue(ranks):\n    return Group(tuple(ranks))\n"
     )
     proc = _lint(root, "--no-facade")
     assert proc.returncode == 1
-    assert "core/ddp.py" in proc.stderr
+    assert "core/engine.py" in proc.stderr
     assert "Group(...)" in proc.stderr
 
 
 def test_attribute_group_calls_are_caught_too(tmp_path):
     root = _planted_tree(tmp_path)
-    ddp = root / "core" / "ddp.py"
-    ddp.write_text(
-        ddp.read_text()
+    engine = root / "core" / "engine.py"
+    engine.write_text(
+        engine.read_text()
         + "\n\ndef _rogue2(world, ranks):\n    import repro.comm.world as w\n"
         "    return w.Group(tuple(ranks))\n"
     )
     proc = _lint(root, "--no-facade")
     assert proc.returncode == 1
-    assert "core/ddp.py" in proc.stderr
+    assert "core/engine.py" in proc.stderr
 
 
 def test_allowed_sites_do_not_trip(tmp_path):
@@ -85,7 +85,7 @@ def test_facade_names_resolve_and_are_documented():
     try:
         import repro
 
-        assert "MeshEngine" in repro.__all__
+        assert "Engine" in repro.__all__
     finally:
         sys.path.remove(str(REPO / "src"))
 

@@ -30,7 +30,7 @@ from pathlib import Path
 
 #: Files whose ``state_dict`` methods feed engine snapshots, and the
 #: frozenset in reshard.py that must enumerate their keys.
-ENGINE_FILES = ("core/ddp.py", "core/fsdp.py", "mesh/engine.py")
+ENGINE_FILES = ("core/engine.py",)
 TRAINER_FILES = ("core/trainer.py", "core/simclr_trainer.py")
 RESHARD_FILE = "elastic/reshard.py"
 
